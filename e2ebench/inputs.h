@@ -35,11 +35,18 @@ struct Request {
   std::string body;    // query text posted as the request body
   std::string params;  // URL query string, e.g. "k=10"
   int k = 0;
+  // kDist: also check the first sequence of each shard against a brute
+  // force over every world (seconds per query, so for one query only).
+  bool brute_force = false;
 };
 
+// A model file, described by the arguments of MarkovText: `generate`
+// writes ModelText(m), `run` only needs the names.
 struct ModelFile {
   std::string name;  // registry name and file stem
-  std::string text;  // markov-sequence text
+  uint64_t seed = 0;
+  int sigma = 0, n = 0, support = 0;
+  std::vector<int> names;  // node renaming; empty keeps n0..n{sigma-1}
 };
 
 struct Workload {
@@ -69,9 +76,12 @@ bool MakeWorkload(const std::string& name, uint64_t seed, Workload* out);
 // chain is written as n{names[i]}.
 std::string MarkovText(uint64_t seed, int sigma, int n, int support,
                        const std::vector<int>* names = nullptr);
+std::string ModelText(const ModelFile& m);
 std::string GroupChangeTransducerText(int sigma, int groups);
+// With `names`, input node i is written as n{names[i]}, as in MarkovText.
 std::string NondetTransducerText(uint64_t seed, int sigma, int states,
-                                 int out_symbols);
+                                 int out_symbols,
+                                 const std::vector<int>* names = nullptr);
 
 }  // namespace e2ebench
 

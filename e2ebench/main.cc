@@ -13,6 +13,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -135,7 +137,7 @@ int Generate(const Args& args) {
       files.insert(files.end(), w.probe_models.begin(), w.probe_models.end());
     }
     for (const ModelFile& m : files) {
-      std::string error = WriteFile(root / (m.name + ".tms"), m.text);
+      std::string error = WriteFile(root / (m.name + ".tms"), ModelText(m));
       if (!error.empty()) Die(error);
     }
   }
@@ -144,8 +146,35 @@ int Generate(const Args& args) {
 
 // --------------------------------------------------------------- servers
 
+// The number of threads of this process, or 0 where /proc is missing.
+int ThreadCount() {
+  std::error_code ec;
+  int n = 0;
+  for (fs::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
 struct Cluster {
   std::vector<std::unique_ptr<serve::HttpServer>> servers;
+  int idle_threads = 0;  // this process's threads while no request runs
+
+  // Waits until every connection thread the servers started has ended. A
+  // server sends a response's footer before it frees the request's state
+  // (about 35 ms for a ranked_deep request), so a request sent on the
+  // footer would share the host with that teardown.
+  void WaitIdle() const {
+    const int64_t give_up = NowNs() + 10000000000;
+    while (ThreadCount() > idle_threads) {
+      if (NowNs() > give_up) {
+        Log("the servers' threads did not end within 10 s; going on");
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
 
   std::vector<dist::WorkerAddress> Workers() const {
     std::vector<dist::WorkerAddress> out;
@@ -175,6 +204,7 @@ Cluster StartCluster(const Args& args, const Workload& w) {
     if (!st.ok()) Die("start: " + st.ToString());
     cluster.servers.push_back(std::move(server));
   }
+  cluster.idle_threads = ThreadCount();
   return cluster;
 }
 
@@ -212,19 +242,25 @@ std::string EnumLine(const transducer::Transducer& t, const Str& output) {
   return line + "\"";
 }
 
+// The collection of `files`; a /batch worker holds one shard's.
+db::SequenceCollection Collection(const std::vector<ModelFile>& files,
+                                  const ModelMap& models) {
+  db::SequenceCollection collection(models.at(files.front().name).nodes());
+  for (const ModelFile& m : files) {
+    Status st = collection.Insert(m.name, models.at(m.name));
+    if (!st.ok()) Die(st.ToString());
+  }
+  return collection;
+}
+
 // The collection every /batch worker of the workload holds, as one.
 db::SequenceCollection WholeCollection(const Workload& w,
                                        const ModelMap& models) {
-  const markov::MarkovSequence& first =
-      models.at(w.shards.front().front().name);
-  db::SequenceCollection collection(first.nodes());
+  std::vector<ModelFile> all;
   for (const auto& shard : w.shards) {
-    for (const ModelFile& m : shard) {
-      Status st = collection.Insert(m.name, models.at(m.name));
-      if (!st.ok()) Die(st.ToString());
-    }
+    all.insert(all.end(), shard.begin(), shard.end());
   }
-  return collection;
+  return Collection(all, models);
 }
 
 std::vector<std::string> BatchRowLines(
@@ -242,10 +278,16 @@ std::vector<std::string> BatchRowLines(
 }
 
 // The answer lines the server must send for `r`, computed in-process with
-// the same engines and serializers the server calls.
+// the same engines and serializers the server calls. `first_line_ns`, if
+// given, receives the time the first line was ready.
 std::vector<std::string> ReferenceLines(const Request& r, const Workload& w,
-                                        const ModelMap& models) {
+                                        const ModelMap& models,
+                                        int64_t* first_line_ns = nullptr) {
   std::vector<std::string> lines;
+  auto add = [&](std::string line) {
+    if (lines.empty() && first_line_ns != nullptr) *first_line_ns = NowNs();
+    lines.push_back(std::move(line));
+  };
   if (r.kind == RequestKind::kDist) {
     transducer::Transducer t = MustTransducer(r.body);
     db::SequenceCollection collection = WholeCollection(w, models);
@@ -266,7 +308,7 @@ std::vector<std::string> ReferenceLines(const Request& r, const Workload& w,
       std::string line;
       serve::AppendAnswerJson(FormatStr(p.alphabet(), answer->output), "imax",
                               answer->score, *conf, &line);
-      lines.push_back(std::move(line));
+      add(std::move(line));
     }
     return lines;
   }
@@ -281,7 +323,7 @@ std::vector<std::string> ReferenceLines(const Request& r, const Workload& w,
     auto answer = (*stream)->Next();
     if (!answer.has_value()) break;
     if (enumerate) {
-      lines.push_back(EnumLine(t, answer->output));
+      add(EnumLine(t, answer->output));
       continue;
     }
     auto conf = query::Confidence(mu, t, answer->output);
@@ -289,7 +331,7 @@ std::vector<std::string> ReferenceLines(const Request& r, const Workload& w,
     std::string line;
     serve::AppendAnswerJson(FormatStr(t.output_alphabet(), answer->output),
                             "emax", answer->score, *conf, &line);
-    lines.push_back(std::move(line));
+    add(std::move(line));
   }
   return lines;
 }
@@ -341,8 +383,9 @@ std::string CheckReference(const Request& r, const Workload& w,
     return CheckTransducerAnswers(models.at(r.model), t, answers,
                                   exact_first);
   }
-  // Merged rows: per-sequence properties on every sequence, and the brute
-  // force over every world on the first sequence of each shard.
+  // Merged rows: per-sequence properties on every sequence, and, for the
+  // brute-force query, the brute force over every world on the first
+  // sequence of each shard.
   std::map<std::string, std::vector<AnswerLine>> by_key;
   for (const AnswerLine& a : answers) by_key[a.key].push_back(a);
   for (const auto& [key, rows] : by_key) {
@@ -351,6 +394,7 @@ std::string CheckReference(const Request& r, const Workload& w,
     if (!error.empty()) return "sequence " + key + ": " + error;
   }
   for (const auto& shard : w.shards) {
+    if (!r.brute_force) break;
     const std::string& key = shard.front().name;
     error = CheckByBruteForce(models.at(key), t, by_key[key], r.k);
     if (!error.empty()) return "sequence " + key + ": " + error;
@@ -363,6 +407,7 @@ std::string CheckReference(const Request& r, const Workload& w,
 struct Outcome {
   double first_ms = 0;
   double last_ms = 0;
+  double cycle_ms = 0;  // send -> the client may send its next request
   int answers = 0;
   bool failed = false;  // deadline probe: footer later than allowed
   std::string error;    // wrong output: the run is incorrect
@@ -453,25 +498,31 @@ Outcome Send(const Request& r, const Cluster& cluster,
 }
 
 // One pass of the fixed request list: `clients` closed loops, client c
-// sending requests c, c+clients, ... one after another. Returns the wall
-// time in seconds; outcomes land in *out by request index.
-double RunPass(const Workload& w, const Cluster& cluster,
-               const std::vector<std::vector<std::string>>& expected,
-               std::vector<Outcome>* out) {
+// sending requests c, c+clients, ... one after another. A lone client
+// sends its next request once the server has finished the last one, so its
+// cycle includes the server's teardown; with more, each sends on the
+// footer, and the pass ends when the servers are idle. Outcomes land in
+// *out by request index.
+void RunPass(const Workload& w, const Cluster& cluster,
+             const std::vector<std::vector<std::string>>& expected,
+             std::vector<Outcome>* out) {
   out->assign(w.requests.size(), Outcome());
   auto client = [&](size_t c) {
     for (size_t i = c; i < w.requests.size(); i += w.clients) {
-      (*out)[i] = Send(w.requests[i], cluster, &expected[i]);
+      const int64_t start = NowNs();
+      Outcome o = Send(w.requests[i], cluster, &expected[i]);
+      if (w.clients == 1) cluster.WaitIdle();
+      o.cycle_ms = MsSince(start);
+      (*out)[i] = std::move(o);
     }
   };
-  const int64_t start = NowNs();
   std::vector<std::thread> others;
   for (int c = 1; c < w.clients; ++c) {
     others.emplace_back(client, static_cast<size_t>(c));
   }
   client(0);
   for (std::thread& t : others) t.join();
-  return (NowNs() - start) / 1e9;
+  cluster.WaitIdle();
 }
 
 // ------------------------------------------------------------ the output
@@ -539,7 +590,8 @@ int EndToEnd(const Args& args, const Workload& w, Cluster cluster,
   // attempted, so the failed share is the same however many rounds fit.
   const size_t n = w.requests.size();
   std::vector<double> best_first(n, 1e300), best_last(n, 1e300);
-  double best_rate = 0;
+  std::vector<double> best_cycle(n, 1e300);
+  int64_t pass_answers = 0;
   int64_t attempted = 0, failed = 0;
   std::vector<Outcome> outcomes;
   const int64_t end_ns =
@@ -547,7 +599,9 @@ int EndToEnd(const Args& args, const Workload& w, Cluster cluster,
   double restart_s = 1e300;
   for (int round = 0; round == 0 || round == 1 || NowNs() < end_ns; ++round) {
     for (int p = 0; p < w.passes_per_round; ++p) {
-      const double wall_s = RunPass(w, cluster, expected, &outcomes);
+      const int64_t pass_start = NowNs();
+      RunPass(w, cluster, expected, &outcomes);
+      const double wall_ms = MsSince(pass_start);
       int64_t answers = 0;
       for (size_t i = 0; i < n; ++i) {
         const Outcome& o = outcomes[i];
@@ -560,15 +614,17 @@ int EndToEnd(const Args& args, const Workload& w, Cluster cluster,
         if (round == 0) continue;
         best_first[i] = std::min(best_first[i], o.first_ms);
         best_last[i] = std::min(best_last[i], o.last_ms);
+        best_cycle[i] = std::min(best_cycle[i], o.cycle_ms);
       }
-      if (round > 0) best_rate = std::max(best_rate, answers / wall_s);
+      pass_answers = answers;  // the same in every pass: outputs are checked
       char note[96];
       std::snprintf(note, sizeof(note), "round %d pass %d: %.1f ms", round, p,
-                    wall_s * 1e3);
+                    wall_ms);
       Log(note);
     }
     for (const Request& probe : w.probes) {
       Outcome o = Send(probe, cluster, nullptr);
+      cluster.WaitIdle();
       ++attempted;
       if (o.failed) ++failed;
       if (!o.error.empty() && error.empty()) {
@@ -584,6 +640,15 @@ int EndToEnd(const Args& args, const Workload& w, Cluster cluster,
     restart_s = std::min(restart_s, (NowNs() - start) / 1e9);
   }
   cluster.Shutdown();
+  // Throughput of a pass made of each request's best cycle: the slowest
+  // client's sum of them is the pass time.
+  std::vector<double> client_ms(static_cast<size_t>(w.clients), 0);
+  for (size_t i = 0; i < n; ++i) {
+    client_ms[i % client_ms.size()] += best_cycle[i];
+  }
+  const double answers_per_s =
+      pass_answers /
+      (*std::max_element(client_ms.begin(), client_ms.end()) / 1e3);
   for (size_t i = 0; i < n; ++i) {
     char note[160];
     std::snprintf(note, sizeof(note),
@@ -599,7 +664,7 @@ int EndToEnd(const Args& args, const Workload& w, Cluster cluster,
                {"restart_s", "s", restart_s},
                {"first_answer_ms", "ms", Median(best_first)},
                {"last_answer_ms", "ms", Median(best_last)},
-               {"answers_per_s", "answers/s", best_rate},
+               {"answers_per_s", "answers/s", answers_per_s},
                {"peak_rss_mb", "MB", PeakRssMb()}});
   return error.empty() ? 0 : 1;
 }
@@ -789,56 +854,39 @@ void TimeSerialize(Tracer* tracer, Layers* layers, int64_t count,
   layers->serialized += reps * count;
 }
 
-// HTTP time to the first answer line of `r`.
-double HttpFirstAnswerUs(const Request& r, int port) {
-  const int64_t start = NowNs();
-  auto stream = dist::HttpStream::Post({"127.0.0.1", port},
-                                       "/query/" + r.model + "?" + r.params,
-                                       r.body, dist::HttpStream::Options());
-  if (!stream.ok()) Die(stream.status().ToString());
-  auto line = (*stream)->NextLine();
-  if (!line.ok() || !line->has_value()) Die("no first answer over HTTP");
-  // Dropping the stream closes the connection; the server stops at its
-  // next write.
-  return (NowNs() - start) / 1e3;
-}
+// Timed passes of each request-overhead and shard timing, after one
+// warm-up pass.
+constexpr int kTracedPasses = 8;
 
-// In-process time to the first answer line of `r`: parse, build the
-// stream, one answer, its confidence, its serialization.
-double InProcessFirstAnswerUs(const Request& r, const ModelMap& models) {
-  const int64_t start = NowNs();
-  const markov::MarkovSequence& mu = models.at(r.model);
-  std::string line;
-  if (r.kind == RequestKind::kSProjector) {
-    projector::SProjector p = MustSProjector(r.body);
-    auto stream = query::MakeEnumerator(mu, p);
-    auto answer = (*stream)->Next();
-    auto conf = projector::SProjectorConfidence(mu, p, answer->output);
-    serve::AppendAnswerJson(FormatStr(p.alphabet(), answer->output), "imax",
-                            answer->score, *conf, &line);
-  } else {
-    transducer::Transducer t = MustTransducer(r.body);
-    const bool enumerate = r.kind == RequestKind::kEnum;
-    auto stream = query::MakeEnumerator(
-        enumerate ? query::EnumeratorKind::kUnranked
-                  : query::EnumeratorKind::kEmax,
-        mu, t);
-    auto answer = (*stream)->Next();
-    if (enumerate) {
-      line = EnumLine(t, answer->output);
-    } else {
-      auto conf = query::Confidence(mu, t, answer->output);
-      serve::AppendAnswerJson(FormatStr(t.output_alphabet(), answer->output),
-                              "emax", answer->score, *conf, &line);
-    }
+// serve.request_overhead_us for `r`: the HTTP time to its first answer
+// line (each stream read to its footer, the server idle before the next)
+// minus the in-process time to the same serialized line.
+std::string TraceRequestOverhead(Layers* layers, const Request& r,
+                                 const Workload& w, const ModelMap& models,
+                                 const Cluster& cluster) {
+  const std::vector<std::string> expected = ReferenceLines(r, w, models);
+  const int port = cluster.servers.front()->port();
+  Request first = r;
+  first.k = 1;
+  std::string error;
+  // The two paths alternate, so that a drift of the host's speed meets
+  // both alike.
+  double http_ms = 1e300, local_ms = 1e300;
+  for (int pass = 0; pass <= kTracedPasses; ++pass) {
+    Outcome o = SendQuery(r, port, &expected);
+    cluster.WaitIdle();
+    if (error.empty()) error = o.error;
+    // Up to the first line, before the stream is torn down, as the server
+    // sends it.
+    const int64_t start = NowNs();
+    int64_t first_line_ns = 0;
+    ReferenceLines(first, w, models, &first_line_ns);
+    if (pass == 0) continue;  // warm-up
+    http_ms = std::min(http_ms, o.first_ms);
+    local_ms = std::min(local_ms, (first_line_ns - start) / 1e6);
   }
-  return (NowNs() - start) / 1e3;
-}
-
-double Best3(const std::function<double()>& f) {
-  double best = f();
-  for (int i = 0; i < 2; ++i) best = std::min(best, f());
-  return best;
+  layers->overhead_us.push_back((http_ms - local_ms) * 1e3);
+  return error;
 }
 
 void TraceIo(Tracer* tracer, Layers* layers, const Args& args,
@@ -867,15 +915,18 @@ void TraceIo(Tracer* tracer, Layers* layers, const Args& args,
   }
 }
 
-// A transducer request's parse and prune, traced.
+// A transducer request's parse (best of 3: the first parse after a
+// request often runs ten times slower) and prune, traced.
 transducer::Transducer TraceQueryParse(Tracer* tracer, Layers* layers,
                                        const Request& r) {
   std::optional<transducer::Transducer> t;
-  {
+  double best_us = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
     Span span(tracer, "io.parse_query");
     t.emplace(MustTransducer(r.body));
-    layers->query_parse_us.push_back(span.End() / 1e3);
+    best_us = std::min(best_us, span.End() / 1e3);
   }
+  layers->query_parse_us.push_back(best_us);
   {
     Span span(tracer, "optimize.prune");
     transducer::Transducer pruned = optimize::PruneTransducer(*t);
@@ -908,11 +959,13 @@ void TraceSProjector(Tracer* tracer, Layers* layers, const Request& r,
                      const ModelMap& models) {
   const markov::MarkovSequence& mu = models.at(r.model);
   std::optional<projector::SProjector> p;
-  {
+  double best_us = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
     Span span(tracer, "io.parse_query");
     p.emplace(MustSProjector(r.body));
-    layers->query_parse_us.push_back(span.End() / 1e3);
+    best_us = std::min(best_us, span.End() / 1e3);
   }
+  layers->query_parse_us.push_back(best_us);
   auto stream = query::MakeEnumerator(mu, *p);
   if (!stream.ok()) Die(stream.status().ToString());
   for (int i = 0; i < r.k; ++i) {
@@ -951,11 +1004,7 @@ std::string TraceDist(Tracer* tracer, Layers* layers, const Request& r,
   // The batch path, one shard at a time in-process.
   std::vector<std::vector<db::BatchEvaluator::SequenceResult>> shard_results;
   for (const auto& shard : w.shards) {
-    db::SequenceCollection collection(models.at(shard.front().name).nodes());
-    for (const ModelFile& m : shard) {
-      Status st = collection.Insert(m.name, models.at(m.name));
-      if (!st.ok()) Die(st.ToString());
-    }
+    db::SequenceCollection collection = Collection(shard, models);
     auto batch = db::BatchEvaluator::Create(&collection, &t);
     if (!batch.ok()) Die(batch.status().ToString());
     Span span(tracer, "db.evaluate_all");
@@ -1005,10 +1054,10 @@ std::string TraceDist(Tracer* tracer, Layers* layers, const Request& r,
     }
   }
 
-  // The slowest worker stream of a scatter/gather, best of three.
+  // Both /batch streams at once, each read to its end; the slower one's
+  // time.
   std::vector<dist::WorkerAddress> workers = cluster.Workers();
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
+  auto scatter = [&] {
     std::vector<double> ms(workers.size(), 0);
     std::vector<std::thread> threads;
     Span span(tracer, "dist.scatter_gather");
@@ -1028,34 +1077,15 @@ std::string TraceDist(Tracer* tracer, Layers* layers, const Request& r,
     }
     for (std::thread& th : threads) th.join();
     span.End();
-    best = std::min(best, *std::max_element(ms.begin(), ms.end()));
+    cluster.WaitIdle();
+    return *std::max_element(ms.begin(), ms.end());
+  };
+  double best_ms = 1e300;
+  for (int pass = 0; pass <= kTracedPasses; ++pass) {
+    const double ms = scatter();
+    if (pass > 0) best_ms = std::min(best_ms, ms);  // pass 0 warms up
   }
-  layers->slowest_shard_ms.push_back(best);
-
-  // /batch request overhead on worker 0: HTTP to the first row minus the
-  // same shard evaluated in-process up to its first serialized row.
-  const double http_us = Best3([&] {
-    const int64_t start = NowNs();
-    auto stream = dist::HttpStream::Post(workers[0], "/batch?" + r.params,
-                                         r.body, dist::HttpStream::Options());
-    if (!stream.ok()) Die(stream.status().ToString());
-    auto line = (*stream)->NextLine();
-    if (!line.ok() || !line->has_value()) Die("no first /batch row");
-    return (NowNs() - start) / 1e3;
-  });
-  const double local_us = Best3([&] {
-    const int64_t start = NowNs();
-    transducer::Transducer q = MustTransducer(r.body);
-    db::SequenceCollection collection(
-        models.at(w.shards[0].front().name).nodes());
-    for (const ModelFile& m : w.shards[0]) {
-      (void)collection.Insert(m.name, models.at(m.name));
-    }
-    auto batch = db::BatchEvaluator::Create(&collection, &q);
-    std::vector<std::string> lines = BatchRowLines(q, batch->EvaluateAll(r.k));
-    return (NowNs() - start) / 1e3;
-  });
-  layers->overhead_us.push_back(http_us - local_us);
+  layers->slowest_shard_ms.push_back(best_ms);
 
   std::vector<dist::RankedRow> merged;
   for (const auto& results : shard_results) {
@@ -1101,12 +1131,8 @@ int Traced(const Args& args, const Workload& w, Cluster cluster) {
       case RequestKind::kDeadline:
         break;
     }
-    if (r.kind != RequestKind::kDist) {
-      const int port = cluster.servers.front()->port();
-      const double http_us = Best3([&] { return HttpFirstAnswerUs(r, port); });
-      const double local_us =
-          Best3([&] { return InProcessFirstAnswerUs(r, models); });
-      layers.overhead_us.push_back(http_us - local_us);
+    if (r.kind != RequestKind::kDist && e.empty()) {
+      e = TraceRequestOverhead(&layers, r, w, models, cluster);
     }
     if (!e.empty() && error.empty()) {
       error = std::string(KindName(r.kind)) + " request on '" + r.model +
@@ -1201,7 +1227,9 @@ int SelfTest() {
   models.emplace("m", mu);
 
   Workload w;
-  w.shards.push_back({ModelFile{"m", ""}});
+  ModelFile file;
+  file.name = "m";
+  w.shards.push_back({file});
   const Request det{RequestKind::kRanked, "m",
                     GroupChangeTransducerText(4, 3), "k=8", 8};
   const Request nondet{RequestKind::kRanked, "m",

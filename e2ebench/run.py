@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end benchmark of tms: build, generate, run, check, report.
 
-    python3 e2ebench/run.py --workload ranked_deep --seed 1 --seconds 20 \
+    python3 e2ebench/run.py --workload ranked_deep --seed 1 --seconds 25 \
         --trace 0
     python3 e2ebench/run.py --selftest
 
@@ -74,7 +74,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--spans", help="write the traced run's spans "
                         "(JSON lines) to this file")

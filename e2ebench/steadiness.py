@@ -7,10 +7,10 @@ Runs each workload --runs times, each with another seed, through the
 command in BENCHMARK.json. For every end-to-end metric it prints the
 median, the quartiles (statistics.quantiles(values, n=4)) and the quartile
 spread (q3 - q1) / median next to the metric's bound. With --sets 2 it
-repeats the whole set with fresh seeds and also prints how far the second
-median moved from the first, in the metric's worse direction. It also
-prints the share of failed operations of each run, which must be the same
-in every run. Run from the root of a checkout; exits 1 when a spread
+repeats the whole set with fresh seeds and also prints the second set's
+spread and how far its median moved from the first, in the metric's worse
+direction. It also prints the share of failed operations of each run,
+which must be the same in every run, and each run's figures on stderr. Run from the root of a checkout; exits 1 when a spread
 (setup_s aside) exceeds its bound, a median moved by more than its bound,
 the failed shares differ, or a run failed.
 """
@@ -68,6 +68,8 @@ def main():
                 except (RuntimeError, subprocess.TimeoutExpired) as e:
                     print(f"FAIL {e}")
                     return 1
+                print(workload, seed, json.dumps(result), file=sys.stderr,
+                      flush=True)
                 seed += 1
                 shares.add((result["failed"], result["attempted"],
                             result["failed"] / result["attempted"]))
@@ -77,13 +79,16 @@ def main():
             sets.append(values)
         print(f"\n{workload}  ({args.runs} runs per set, {args.sets} set(s))")
         print(f"  {'metric':18} {'median':>12} {'q1':>12} {'q3':>12}"
-              f" {'spread':>8} {'bound':>6}  {'moved':>8}")
+              f" {'spread':>8} {'bound':>6}  {'spread2':>8} {'moved':>8}")
         for m in metrics:
             name, bound = m["name"], m["bound"]
             median, q1, q3, spread = summarize(sets[0][name])
-            moved = ""
+            spreads = [spread]
+            second_spread = moved = ""
             if len(sets) == 2:
-                second = statistics.median(sets[1][name])
+                second, _, _, spread2 = summarize(sets[1][name])
+                spreads.append(spread2)
+                second_spread = f"{spread2:8.3f}"
                 change = (second - median) / median
                 worse = change if m["better"] == "lower" else -change
                 moved = f"{worse:+8.3f}"
@@ -91,11 +96,14 @@ def main():
                     ok = False
                     moved += " !"
             flag = ""
-            if name != "setup_s" and spread > bound:
+            # setup_s is one cold set-up per process: its spread is shown,
+            # only its median is held to the bound.
+            if name != "setup_s" and max(spreads) > bound:
                 ok = False
                 flag = " !"
             print(f"  {name:18} {median:12.4f} {q1:12.4f} {q3:12.4f}"
-                  f" {spread:8.3f} {bound:6.2f}  {moved}{flag}")
+                  f" {spread:8.3f} {bound:6.2f}  {second_spread:>8}"
+                  f" {moved:>8}{flag}")
         distinct = {share for _, _, share in shares}
         print(f"  failed share: {sorted(distinct)}"
               f"{'' if len(distinct) == 1 else '  ! differs between runs'}")

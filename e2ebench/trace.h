@@ -41,9 +41,10 @@ class Tracer {
     s.parent = open_.empty() ? 0 : open_.back();
     s.request = request_;
     s.name = std::move(name);
-    s.start_ns = NowNs();
     spans_.push_back(std::move(s));
     open_.push_back(spans_.back().id);
+    // After the push_back: a reallocation of spans_ is not the span's time.
+    spans_.back().start_ns = NowNs();
     return spans_.back().id;
   }
 
